@@ -742,35 +742,6 @@ impl AtomicBroadcast {
         self.a_delivered.sparse_len() + self.cmd_delivered.sparse_len()
     }
 
-    /// A human-readable snapshot of the agreement machinery, for
-    /// debugging stuck rounds.
-    pub fn debug_snapshot(&self) -> String {
-        let vects = self
-            .vects
-            .get(&self.round)
-            .map(|v| v.iter().filter(|x| x.is_some()).count())
-            .unwrap_or(0);
-        let mvc = self.agreements.get(&self.round).map(|m| {
-            format!(
-                "mvc(decided={} bc_rounds={:?})",
-                m.is_decided(),
-                m.bc_rounds()
-            )
-        });
-        format!(
-            "round={} queued={} in_flight={} pending={} vect_sent={} proposed={} vects={} awaiting={:?} {:?}",
-            self.round,
-            self.queue.len(),
-            self.own_in_flight,
-            self.pending(),
-            self.vect_sent,
-            self.proposed,
-            vects,
-            self.awaiting_payloads.as_ref().map(Vec::len),
-            mvc
-        )
-    }
-
     /// Rewinds/forwards a **fresh** session to a rejoin cursor: the
     /// delivered sets become pure watermarks, own identifier counters
     /// jump past everything peers have seen, and the session enters

@@ -23,7 +23,7 @@ use crate::config::{ConfigError, Group};
 use crate::error::ProtocolError;
 use crate::mvc::MvcValue;
 use crate::recovery::PeerHints;
-use crate::stack::{InstanceKey, Output, Stack, StackConfig, StackStep};
+use crate::stack::{Bundle, InstanceKey, Output, Stack, StackConfig, StackStep};
 use crate::step::{Fault, Target};
 use crate::vc::DecisionVector;
 use crate::ProcessId;
@@ -202,9 +202,6 @@ enum Command {
     },
     AbDebug {
         reply: Sender<Option<(crate::ab::AbStats, u32, usize)>>,
-    },
-    AbDebugVerbose {
-        reply: Sender<Option<String>>,
     },
     /// Point-to-point state-transfer frame to one peer (no agreement
     /// instance involved).
@@ -579,6 +576,9 @@ impl Node {
             std::thread::spawn(move || {
                 let mut state = Worker {
                     stack,
+                    outbox: (0..transport.group_size())
+                        .map(|_| Bundle::default())
+                        .collect(),
                     transport,
                     replies: HashMap::new(),
                     ab_sent: BTreeMap::new(),
@@ -592,6 +592,9 @@ impl Node {
                 };
                 let mut last_state_refresh: u64 = 0;
                 'worker: loop {
+                    // Flush rule 1: nothing emitted so far waits while the
+                    // loop blocks.
+                    state.flush();
                     // Trace events are stamped with nanoseconds since the
                     // node was spawned; the same clock drives the AB layer's
                     // age-based batch flush.
@@ -617,11 +620,12 @@ impl Node {
                             Err(_) => break,
                         },
                     };
+                    // A pass is the event just received plus the events
+                    // queued behind it when the pass began.
+                    let mut pass = cmd_rx.len();
                     if let Some(event) = event {
-                        match event {
-                            Event::Cmd(Command::Shutdown) => break,
-                            Event::Cmd(cmd) => state.on_command(cmd),
-                            Event::Net(from, frame) => state.on_frame(from, frame),
+                        if !state.on_event(event) {
+                            break;
                         }
                     }
                     // Exhaust everything already queued before advancing
@@ -629,12 +633,25 @@ impl Node {
                     // SessionConfig::new), so one round orders every batch
                     // that arrived while the queue drained.
                     loop {
+                        if pass == 0 {
+                            pass = cmd_rx.len();
+                            if pass == 0 {
+                                break;
+                            }
+                            // Flush rule 2: under saturation, what one pass
+                            // emitted goes out before the input that
+                            // arrived after the pass began is handled.
+                            state.flush();
+                        }
                         match cmd_rx.try_recv() {
-                            Ok(Event::Cmd(Command::Shutdown)) => break 'worker,
-                            Ok(Event::Cmd(cmd)) => state.on_command(cmd),
-                            Ok(Event::Net(from, frame)) => state.on_frame(from, frame),
+                            Ok(event) => {
+                                if !state.on_event(event) {
+                                    break 'worker;
+                                }
+                            }
                             Err(_) => break,
                         }
+                        pass -= 1;
                     }
                     // Input exhausted: flush any batch past its age
                     // deadline, then start the next agreement round over
@@ -669,6 +686,8 @@ impl Node {
                         *health.state_json.lock() = state.state_json(later);
                     }
                 }
+                // Whatever the last pass emitted still reaches the peers.
+                state.flush();
                 stop.store(true, Ordering::Relaxed);
             })
         };
@@ -883,19 +902,6 @@ impl Node {
         let (reply, rx) = bounded(1);
         self.cmd_tx
             .send(Event::Cmd(Command::AbDebug { reply }))
-            .map_err(|_| NodeError::Disconnected)?;
-        rx.recv().map_err(|_| NodeError::Disconnected)
-    }
-
-    /// Verbose atomic broadcast snapshot (debugging stuck rounds).
-    ///
-    /// # Errors
-    ///
-    /// [`NodeError::Disconnected`] if the stack thread has stopped.
-    pub fn ab_debug_verbose(&self) -> Result<Option<String>, NodeError> {
-        let (reply, rx) = bounded(1);
-        self.cmd_tx
-            .send(Event::Cmd(Command::AbDebugVerbose { reply }))
             .map_err(|_| NodeError::Disconnected)?;
         rx.recv().map_err(|_| NodeError::Disconnected)
     }
@@ -1339,9 +1345,17 @@ fn map_timeout<T>(r: Result<T, RecvTimeoutError>) -> Result<T, NodeError> {
     })
 }
 
+/// Largest bundle the worker builds (flush rule 3): the transport's frame
+/// cap less the headroom it reserves for authentication and session
+/// headers, so a full bundle still travels as one frame.
+const MAX_BUNDLE: usize = ritas_transport::wire::MAX_FRAME - ritas_transport::wire::FRAME_HEADROOM;
+
 /// The state owned by the stack thread.
 struct Worker<T: Transport> {
     stack: Stack,
+    /// Per-peer outboxes: everything emitted for a peer since the last
+    /// flush, in emission order, bound for one frame.
+    outbox: Vec<Bundle>,
     transport: Arc<T>,
     replies: HashMap<InstanceKey, PendingReply>,
     /// Local a-broadcast times, for the a-deliver latency histogram.
@@ -1358,6 +1372,19 @@ struct Worker<T: Transport> {
 }
 
 impl<T: Transport> Worker<T> {
+    /// Handles one event; `false` means shut down.
+    fn on_event(&mut self, event: Event) -> bool {
+        match event {
+            Event::Cmd(Command::Shutdown) => return false,
+            Event::Cmd(cmd) => self.on_command(cmd),
+            Event::Net(from, frame) => {
+                let step = self.stack.handle_frame(from, frame);
+                self.dispatch(step);
+            }
+        }
+        true
+    }
+
     fn on_command(&mut self, cmd: Command) {
         match cmd {
             Command::RbBroadcast(payload) => {
@@ -1417,14 +1444,8 @@ impl<T: Transport> Worker<T> {
             Command::AbDebug { reply } => {
                 let _ = reply.send(self.stack.ab_debug(0));
             }
-            Command::AbDebugVerbose { reply } => {
-                let _ = reply.send(self.stack.ab_debug_verbose(0));
-            }
             Command::SendXfer(to, payload) => {
-                let frame = crate::stack::encode_xfer(&payload);
-                self.metrics.transport_frames_sent.inc();
-                self.metrics.transport_bytes_sent.add(frame.len() as u64);
-                let _ = self.transport.send(to, frame);
+                self.enqueue(to, crate::stack::encode_xfer(&payload));
             }
             Command::AbResume(cursor, reply) => {
                 let step = self.stack.ab_resume(0, &cursor);
@@ -1444,13 +1465,50 @@ impl<T: Transport> Worker<T> {
                 let step = self.stack.ab_inject_batch(0, id, raw);
                 self.dispatch(step);
             }
-            Command::Shutdown => unreachable!("handled by the event loop"),
+            Command::Shutdown => unreachable!("handled by on_event"),
         }
     }
 
-    fn on_frame(&mut self, from: ProcessId, frame: Bytes) {
-        let step = self.stack.handle_frame(from, frame);
-        self.dispatch(step);
+    /// Queues `frame` in `to`'s outbox, first flushing that outbox if the
+    /// frame would push its bundle past [`MAX_BUNDLE`] (flush rule 3).
+    fn enqueue(&mut self, to: ProcessId, frame: Bytes) {
+        // No such peer: the transport would refuse the frame as well.
+        let Some(bundle) = self.outbox.get_mut(to) else {
+            return;
+        };
+        self.metrics.transport_msgs_sent.inc();
+        if bundle.wire_len_with(&frame) > MAX_BUNDLE {
+            if let Some(full) = bundle.take() {
+                self.send_frame(to, full);
+            }
+        }
+        self.outbox[to].push(frame);
+    }
+
+    /// Sends every non-empty outbox as one frame per peer.
+    fn flush(&mut self) {
+        for to in 0..self.outbox.len() {
+            if let Some(frame) = self.outbox[to].take() {
+                self.send_frame(to, frame);
+            }
+        }
+    }
+
+    /// The one path from the worker to the transport: every frame sent is
+    /// counted here, so `transport_frames_sent`/`transport_bytes_sent`
+    /// match the receivers' `_recv` counters.
+    fn send_frame(&self, to: ProcessId, frame: Bytes) {
+        self.metrics.transport_frames_sent.inc();
+        self.metrics.transport_bytes_sent.add(frame.len() as u64);
+        self.metrics.flight_record(
+            ritas_metrics::FlightKind::FrameOut,
+            to as u32,
+            ritas_metrics::flight::digest(&frame),
+            frame.len() as u64,
+        );
+        // A send failure means the link or the transport is gone; the
+        // reader thread notices. Nothing sensible to do here.
+        let _ = self.transport.send(to, frame);
     }
 
     /// Builds the `/state` introspection document. Runs on the protocol
@@ -1502,10 +1560,22 @@ impl<T: Transport> Worker<T> {
             m.rotation_rounds_total.get(),
             m.rotation_deferrals_total.get(),
         );
+        // Messages against the frames they travelled in: the worker's
+        // coalescing factor.
+        let transport = format!(
+            "{{\"msgs_sent\":{},\"frames_sent\":{},\"bytes_sent\":{},\
+             \"frames_recv\":{},\"bytes_recv\":{}}}",
+            m.transport_msgs_sent.get(),
+            m.transport_frames_sent.get(),
+            m.transport_bytes_sent.get(),
+            m.transport_frames_recv.get(),
+            m.transport_bytes_recv.get(),
+        );
         format!(
             "{{\"time_ns\":{now_ns},\"ab\":{ab},\"instances\":{},\
              \"ooc_buffered\":{},\"rsm_applied_watermark\":{},\
-             \"faults_detected\":{},\"rotation\":{rotation},\"links\":{links}}}",
+             \"faults_detected\":{},\"transport\":{transport},\
+             \"rotation\":{rotation},\"links\":{links}}}",
             m.stack_instances.get(),
             m.stack_ooc_buffered.get(),
             m.rsm_applied_watermark.get(),
@@ -1518,38 +1588,14 @@ impl<T: Transport> Worker<T> {
             let _ = self.fault_tx.send(fault);
         }
         for out in step.messages {
-            let result = match out.target {
+            match out.target {
                 Target::All => {
-                    let n = self.transport.group_size() as u64;
-                    self.metrics.transport_frames_sent.add(n);
-                    self.metrics
-                        .transport_bytes_sent
-                        .add(n * out.message.len() as u64);
-                    self.metrics.flight_record(
-                        ritas_metrics::FlightKind::FrameOut,
-                        u32::MAX, // broadcast
-                        ritas_metrics::flight::digest(&out.message),
-                        out.message.len() as u64,
-                    );
-                    self.transport.send_all(out.message)
+                    for to in 0..self.outbox.len() {
+                        self.enqueue(to, out.message.clone());
+                    }
                 }
-                Target::One(to) => {
-                    self.metrics.transport_frames_sent.inc();
-                    self.metrics
-                        .transport_bytes_sent
-                        .add(out.message.len() as u64);
-                    self.metrics.flight_record(
-                        ritas_metrics::FlightKind::FrameOut,
-                        to as u32,
-                        ritas_metrics::flight::digest(&out.message),
-                        out.message.len() as u64,
-                    );
-                    self.transport.send(to, out.message)
-                }
-            };
-            // A send failure means the transport is gone; the loop will
-            // notice via the reader thread. Nothing sensible to do here.
-            let _ = result;
+                Target::One(to) => self.enqueue(to, out.message),
+            }
         }
         for output in step.outputs {
             match output {
@@ -1755,6 +1801,70 @@ mod tests {
     }
 
     #[test]
+    fn every_frame_sent_is_received_and_carries_several_messages() {
+        let nodes = Node::cluster(SessionConfig::new(4).unwrap()).unwrap();
+        const PER_NODE: usize = 25;
+        std::thread::scope(|s| {
+            for node in &nodes {
+                s.spawn(move || {
+                    for i in 0..PER_NODE {
+                        let payload = format!("n{}-{i}", node.id());
+                        node.atomic_broadcast(Bytes::from(payload.into_bytes()))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        for node in &nodes {
+            for _ in 0..4 * PER_NODE {
+                node.atomic_recv_timeout(Duration::from_secs(20)).unwrap();
+            }
+        }
+        // State transfer shares the outboxes.
+        for node in &nodes {
+            node.send_xfer((node.id() + 1) % 4, Bytes::from_static(b"xfer"))
+                .unwrap();
+        }
+        for node in &nodes {
+            node.xfer_recv_timeout(Duration::from_secs(20)).unwrap();
+        }
+        // [msgs sent, frames sent, frames received, bytes sent, bytes
+        // received], summed over the cluster.
+        let totals = || {
+            nodes.iter().fold([0u64; 5], |mut t, n| {
+                let m = n.metrics();
+                t[0] += m.transport_msgs_sent.get();
+                t[1] += m.transport_frames_sent.get();
+                t[2] += m.transport_frames_recv.get();
+                t[3] += m.transport_bytes_sent.get();
+                t[4] += m.transport_bytes_recv.get();
+                t
+            })
+        };
+        // Quiescent: the totals stop moving once the last frame landed.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut last = totals();
+        loop {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = totals();
+            if (now == last && now[1] == now[2]) || Instant::now() > deadline {
+                break;
+            }
+            last = now;
+        }
+        let [msgs, frames_sent, frames_recv, bytes_sent, bytes_recv] = totals();
+        assert_eq!(frames_sent, frames_recv, "a frame bypassed send_frame");
+        assert_eq!(bytes_sent, bytes_recv, "a frame bypassed send_frame");
+        assert!(
+            msgs > frames_sent,
+            "no coalescing: {msgs} messages in {frames_sent} frames"
+        );
+        for n in &nodes {
+            n.shutdown();
+        }
+    }
+
+    #[test]
     fn recv_timeout_expires() {
         let nodes = Node::cluster(SessionConfig::new(4).unwrap()).unwrap();
         assert_eq!(
@@ -1808,9 +1918,11 @@ mod tests {
         );
         assert!(state.contains("\"ab\":{"), "{state}");
         assert!(state.contains("\"links\":["), "{state}");
+        assert!(state.contains("\"msgs_sent\":"), "{state}");
         // Unknown paths (and /metrics) still serve the Prometheus page.
         let prom = http_get(addr, "/metrics");
         assert!(prom.contains("# TYPE ritas_transport_frames_sent counter"));
+        assert!(prom.contains("# TYPE ritas_transport_msgs_sent counter"));
         let fallback = http_get(addr, "/");
         assert!(fallback.contains("# TYPE"));
         for n in &nodes {

@@ -121,6 +121,9 @@ const KEY_MVC: u8 = 4;
 const KEY_VC: u8 = 5;
 const KEY_AB: u8 = 6;
 const KEY_XFER: u8 = 7;
+/// Not an instance: a frame of frames (see [`Bundle`]). Only the first
+/// byte of a transport frame is ever read as this tag.
+const KEY_BUNDLE: u8 = 8;
 
 impl WireMessage for InstanceKey {
     fn encode(&self, w: &mut Writer) {
@@ -748,14 +751,6 @@ impl Stack {
         }
     }
 
-    /// Verbose atomic broadcast snapshot (debugging stuck rounds).
-    pub fn ab_debug_verbose(&self, session: u32) -> Option<String> {
-        match self.instances.get(&InstanceKey::Ab { session }) {
-            Some(Instance::Ab(ab)) => Some(ab.debug_snapshot()),
-            _ => None,
-        }
-    }
-
     // ----- recovery / state transfer -----
 
     /// Arms or disarms the rejoin hold: while armed, inbound
@@ -890,7 +885,33 @@ impl Stack {
         if !self.group.contains(from) {
             return Step::fault(from, FaultKind::NotEntitled);
         }
-        let mut r = Reader::new(&frame);
+        if frame.first() == Some(&KEY_BUNDLE) {
+            return self.handle_bundle(from, &frame[1..]);
+        }
+        self.handle_message(from, &frame)
+    }
+
+    /// Feeds a bundle's entries in order, each exactly as if it had
+    /// arrived as a frame of its own. Decoding stops at the first
+    /// malformed entry, which costs the sender one `Malformed` fault; the
+    /// entries before it keep their effect.
+    fn handle_bundle(&mut self, from: ProcessId, mut body: &[u8]) -> StackStep {
+        let mut out = Step::none();
+        loop {
+            let Some((entry, rest)) = split_bundle_entry(body) else {
+                out.push_fault(from, FaultKind::Malformed);
+                return out;
+            };
+            out.extend(self.handle_message(from, entry));
+            if rest.is_empty() {
+                return out;
+            }
+            body = rest;
+        }
+    }
+
+    fn handle_message(&mut self, from: ProcessId, frame: &[u8]) -> StackStep {
+        let mut r = Reader::new(frame);
         let key = match InstanceKey::decode(&mut r) {
             Ok(k) => k,
             Err(_) => return Step::fault(from, FaultKind::Malformed),
@@ -1040,6 +1061,93 @@ pub fn encode_xfer(payload: &[u8]) -> Bytes {
     InstanceKey::Xfer.encode(&mut w);
     w.raw(payload);
     w.freeze()
+}
+
+/// The frames queued for one peer, sent as a single transport frame.
+///
+/// Wire format: the tag [`KEY_BUNDLE`], then one entry per frame — the
+/// frame's length as an unsigned LEB128 varint, then the frame itself.
+/// [`Stack::handle_frame`] unpacks the entries in order, so a bundle
+/// changes the framing of the messages it carries and nothing else. A
+/// lone frame is never wrapped (see [`Bundle::take`]).
+#[derive(Debug, Default)]
+pub(crate) struct Bundle {
+    frames: Vec<Bytes>,
+    /// Encoded length of the entries (the tag byte not included).
+    entries_len: usize,
+}
+
+impl Bundle {
+    /// Encoded length of the bundle once `frame` is added to it.
+    pub fn wire_len_with(&self, frame: &[u8]) -> usize {
+        1 + self.entries_len + varint_len(frame.len()) + frame.len()
+    }
+
+    /// Queues `frame` behind the frames already queued.
+    pub fn push(&mut self, frame: Bytes) {
+        self.entries_len += varint_len(frame.len()) + frame.len();
+        self.frames.push(frame);
+    }
+
+    /// Empties the queue into one transport frame: `None` when nothing is
+    /// queued, the frame itself when it is alone (byte-for-byte what an
+    /// unbundled send carries), and the encoded bundle otherwise.
+    pub fn take(&mut self) -> Option<Bytes> {
+        let entries_len = std::mem::take(&mut self.entries_len);
+        if self.frames.len() <= 1 {
+            return self.frames.pop();
+        }
+        let mut w = Writer::with_capacity(1 + entries_len);
+        w.u8(KEY_BUNDLE);
+        for frame in self.frames.drain(..) {
+            debug_assert!(frame.len() <= MAX_BUNDLE_ENTRY, "entry exceeds the varint");
+            let mut len = frame.len();
+            while len >= 0x80 {
+                w.u8(len as u8 | 0x80);
+                len >>= 7;
+            }
+            w.u8(len as u8);
+            w.raw(&frame);
+        }
+        Some(w.freeze())
+    }
+}
+
+/// Bytes of the longest entry-length varint a bundle may carry: four
+/// 7-bit groups cover every frame up to [`MAX_BUNDLE_ENTRY`].
+const BUNDLE_VARINT_MAX: usize = 4;
+/// Longest entry a bundle can describe (`2^28 - 1` bytes, well above the
+/// transport's frame cap).
+const MAX_BUNDLE_ENTRY: usize = (1 << (7 * BUNDLE_VARINT_MAX)) - 1;
+
+fn varint_len(value: usize) -> usize {
+    let bits = (usize::BITS - value.leading_zeros()).max(1) as usize;
+    bits.div_ceil(7)
+}
+
+/// Splits the first entry off a bundle body: `(entry, rest)`, or `None`
+/// if the entry is malformed — a truncated, over-long or non-minimal
+/// length varint, a length running past the end, an empty entry, or an
+/// entry that is itself a bundle.
+fn split_bundle_entry(body: &[u8]) -> Option<(&[u8], &[u8])> {
+    let mut len = 0usize;
+    let mut header = 0;
+    loop {
+        let byte = *body.get(header)?;
+        if header == BUNDLE_VARINT_MAX || (byte == 0 && header > 0) {
+            return None;
+        }
+        len |= usize::from(byte & 0x7f) << (7 * header);
+        header += 1;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    let rest = &body[header..];
+    if len == 0 || len > rest.len() || rest[0] == KEY_BUNDLE {
+        return None;
+    }
+    Some(rest.split_at(len))
 }
 
 fn encode_rb_step(key: InstanceKey, sender: ProcessId, sub: Step<RbMessage, Bytes>) -> StackStep {
@@ -1393,5 +1501,184 @@ mod tests {
             .stack_mut(0)
             .handle_frame(9, Bytes::from_static(&[1]));
         assert_eq!(step.faults[0].kind, FaultKind::NotEntitled);
+    }
+
+    // ----- bundles -----
+
+    const SEED: u64 = 7;
+
+    fn subject() -> Stack {
+        let group = crate::Group::new(4).unwrap();
+        let table = ritas_crypto::KeyTable::dealer(4, SEED);
+        let mut stack = Stack::new(group, 0, table.view_of(0), SEED);
+        // Consensus traffic is processed, not parked, once proposed.
+        let _ = stack.bc_propose(1, true).unwrap();
+        let _ = stack.mvc_propose(2, Bytes::from_static(b"v")).unwrap();
+        let _ = stack.vc_propose(3, Bytes::from_static(b"p0")).unwrap();
+        stack
+    }
+
+    /// Every frame process 1 addresses to process 0 while processes 1–3
+    /// run one instance of each protocol (process 0 stays silent).
+    fn frames_from_one() -> &'static [Bytes] {
+        static POOL: std::sync::OnceLock<Vec<Bytes>> = std::sync::OnceLock::new();
+        POOL.get_or_init(|| {
+            let group = crate::Group::new(4).unwrap();
+            let table = ritas_crypto::KeyTable::dealer(4, SEED);
+            let mut stacks: Vec<Stack> = (0..4)
+                .map(|me| Stack::new(group, me, table.view_of(me), SEED ^ me as u64))
+                .collect();
+            let mut queue = VecDeque::new();
+            let mut pool = Vec::new();
+            let mut absorb = |from: ProcessId, step: StackStep, queue: &mut VecDeque<_>| {
+                for out in step.messages {
+                    let dests = match out.target {
+                        crate::Target::All => vec![0, 1, 2, 3],
+                        crate::Target::One(to) => vec![to],
+                    };
+                    for to in dests {
+                        if to == 0 {
+                            if from == 1 {
+                                pool.push(out.message.clone());
+                            }
+                        } else {
+                            queue.push_back((from, to, out.message.clone()));
+                        }
+                    }
+                }
+            };
+            for (p, stack) in stacks.iter_mut().enumerate().skip(1) {
+                // Long enough for two-byte entry lengths.
+                let (_, step) = stack.rb_broadcast(Bytes::from(vec![p as u8; 300]));
+                absorb(p, step, &mut queue);
+                let (_, step) = stack.eb_broadcast(Bytes::from_static(b"e"));
+                absorb(p, step, &mut queue);
+                let step = stack.bc_propose(1, p % 2 == 0).unwrap();
+                absorb(p, step, &mut queue);
+                let step = stack.mvc_propose(2, Bytes::from_static(b"v")).unwrap();
+                absorb(p, step, &mut queue);
+                let step = stack.vc_propose(3, Bytes::from(vec![p as u8])).unwrap();
+                absorb(p, step, &mut queue);
+                let (_, step) = stack.ab_broadcast(0, Bytes::from_static(b"a"));
+                absorb(p, step, &mut queue);
+            }
+            while let Some((from, to, frame)) = queue.pop_front() {
+                let step = stacks[to].handle_frame(from, frame);
+                absorb(to, step, &mut queue);
+            }
+            pool
+        })
+    }
+
+    fn bundle_of(frames: &[Bytes]) -> Bytes {
+        let mut bundle = Bundle::default();
+        for f in frames {
+            bundle.push(f.clone());
+        }
+        bundle.take().unwrap()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn bundle_feeds_like_separate_frames(
+            picks in proptest::collection::vec(proptest::prelude::any::<u16>(), 1..40)
+        ) {
+            let pool = frames_from_one();
+            let frames: Vec<Bytes> =
+                picks.iter().map(|&i| pool[i as usize % pool.len()].clone()).collect();
+            let mut one_by_one = subject();
+            let mut expected = Step::none();
+            for f in &frames {
+                expected.extend(one_by_one.handle_frame(1, f.clone()));
+            }
+            let got = subject().handle_frame(1, bundle_of(&frames));
+            proptest::prop_assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn frame_pool_covers_every_protocol() {
+        let kinds: std::collections::BTreeSet<u8> =
+            frames_from_one().iter().map(|f| f[0]).collect();
+        assert_eq!(
+            kinds,
+            [KEY_RB, KEY_EB, KEY_BC, KEY_MVC, KEY_VC, KEY_AB].into(),
+            "pool is missing a protocol"
+        );
+        assert!(frames_from_one().iter().any(|f| f.len() >= 0x80));
+    }
+
+    #[test]
+    fn bundle_leaves_a_lone_frame_unwrapped() {
+        let frame = frames_from_one()[0].clone();
+        assert_eq!(bundle_of(std::slice::from_ref(&frame)), frame);
+        assert_eq!(Bundle::default().take(), None);
+        let two = [frame.clone(), frame.clone()];
+        let mut bundle = Bundle::default();
+        bundle.push(frame.clone());
+        assert_eq!(bundle.wire_len_with(&frame), bundle_of(&two).len());
+    }
+
+    #[test]
+    fn malformed_bundles_fault_once_and_stop() {
+        let mut reference = subject();
+        let (_, init) = Stack::new(
+            crate::Group::new(4).unwrap(),
+            1,
+            ritas_crypto::KeyTable::dealer(4, SEED).view_of(1),
+            SEED,
+        )
+        .rb_broadcast(Bytes::from_static(b"before"));
+        let valid = init.messages[0].message.clone();
+        let after = frames_from_one()
+            .iter()
+            .find(|f| f[0] == KEY_EB)
+            .unwrap()
+            .clone();
+        let before = reference.handle_frame(1, valid.clone());
+        assert!(!before.messages.is_empty() && before.faults.is_empty());
+
+        let entry = |f: &Bytes| {
+            let mut v = vec![f.len() as u8];
+            assert!(f.len() < 0x80);
+            v.extend_from_slice(f);
+            v
+        };
+        let nested = bundle_of(&[after.clone(), after.clone()]);
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("empty entry", vec![0x00]),
+            ("nested bundle", {
+                let mut v = vec![nested.len() as u8];
+                v.extend_from_slice(&nested);
+                v
+            }),
+            ("over-long varint", vec![0x80, 0x80, 0x80, 0x80, 0x01]),
+            ("non-minimal varint", vec![0x81, 0x00]),
+            ("length past the end", vec![0x7f, KEY_EB]),
+            ("truncated varint", vec![0xff]),
+        ];
+        for (name, bad) in cases {
+            let mut frame = vec![KEY_BUNDLE];
+            frame.extend(entry(&valid));
+            frame.extend(bad);
+            frame.extend(entry(&after));
+            let step = subject().handle_frame(1, Bytes::from(frame));
+            assert_eq!(step.messages, before.messages, "{name}: entries before");
+            assert_eq!(step.outputs, before.outputs, "{name}");
+            assert_eq!(
+                step.faults,
+                vec![crate::Fault {
+                    from: 1,
+                    kind: FaultKind::Malformed
+                }],
+                "{name}"
+            );
+        }
+        // A bundle with no entry at all.
+        let step = subject().handle_frame(2, Bytes::from_static(&[KEY_BUNDLE]));
+        assert!(step.messages.is_empty() && step.outputs.is_empty());
+        assert_eq!(step.faults.len(), 1);
+        assert_eq!(step.faults[0].from, 2);
+        assert_eq!(step.faults[0].kind, FaultKind::Malformed);
     }
 }

@@ -34,8 +34,8 @@ pub const FLIGHT_RECORD_BYTES: usize = 29;
 /// What happened. The payload words `a`/`b` are kind-specific.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
-    /// A wire frame left for `peer` (`u32::MAX` = all); `a` = FNV-1a
-    /// digest of the frame, `b` = length.
+    /// A wire frame (one message or a bundle of them) left for `peer`;
+    /// `a` = FNV-1a digest of the frame, `b` = length.
     FrameOut,
     /// A wire frame arrived from `peer`; `a` = digest, `b` = length.
     FrameIn,

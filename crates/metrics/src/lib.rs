@@ -1023,8 +1023,14 @@ impl SuspicionSnapshot {
 #[derive(Debug)]
 pub struct MetricsInner {
     // ---- transport (§2.1) ----
-    /// Frames handed to the network.
+    /// Frames handed to the network. A runtime that coalesces messages
+    /// counts each coalesced frame once.
     pub transport_frames_sent: Counter,
+    /// Protocol messages handed to the runtime for sending, one per
+    /// destination, before any coalescing into frames:
+    /// `transport_msgs_sent / transport_frames_sent` is the coalescing
+    /// factor.
+    pub transport_msgs_sent: Counter,
     /// Frames received from the network (before authentication).
     pub transport_frames_recv: Counter,
     /// Payload bytes handed to the network.
@@ -1270,6 +1276,7 @@ impl Default for MetricsInner {
     fn default() -> Self {
         MetricsInner {
             transport_frames_sent: Counter::default(),
+            transport_msgs_sent: Counter::default(),
             transport_frames_recv: Counter::default(),
             transport_bytes_sent: Counter::default(),
             transport_bytes_recv: Counter::default(),
@@ -1615,6 +1622,7 @@ impl Metrics {
         }
         counter!(
             transport_frames_sent,
+            transport_msgs_sent,
             transport_frames_recv,
             transport_bytes_sent,
             transport_bytes_recv,

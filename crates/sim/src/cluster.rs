@@ -449,6 +449,7 @@ impl SimCluster {
         // A timing attacker (Faultload::Slow) holds its frames back.
         now += self.config.faultload.send_delay(from);
         self.metrics[from].transport_frames_sent.inc();
+        self.metrics[from].transport_msgs_sent.inc();
         self.metrics[from]
             .transport_bytes_sent
             .add(frame.len() as u64);
